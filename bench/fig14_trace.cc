@@ -2,6 +2,10 @@
 // unoptimized and adaptive execution — morsel timelines per worker thread
 // with compilation events. Adaptive should interpret the small pipelines
 // and compile only the two big partsupp scans.
+//
+// The charts come from the engine's own trace rings. Exits non-zero when a
+// ring dropped events or a chart is empty, so a decimated timeline never
+// prints silently (raise AQE_TRACE_RING_EVENTS if it does).
 #include "bench/bench_util.h"
 
 using namespace aqe;
@@ -23,13 +27,12 @@ int main() {
   };
   std::printf("Fig 14 — execution trace of TPC-H Q11 (SF %g, %d threads)\n\n",
               sf, threads);
+  int failures = 0;
   for (const ModeRow& mode : modes) {
-    TraceRecorder trace;
-    trace.Start();
+    engine.ResetObservabilityStats();
     QueryProgram q = BuildTpchQuery(11, *catalog);
     QueryRunOptions options;
     options.strategy = mode.strategy;
-    options.trace = &trace;
     // The trace shows cold compiles; cached artifacts would blank them.
     options.use_artifact_cache = false;
     QueryRunResult r = engine.Run(q, options);
@@ -38,9 +41,20 @@ int main() {
     for (const auto& p : r.pipelines) {
       std::printf(" %s=%s", p.name.c_str(), ExecModeName(p.final_mode));
     }
-    std::printf(")\n%s\n", trace.Render(threads, 100).c_str());
+    const std::string chart = engine.RenderTrace(100);
+    std::printf(")\n%s\n", chart.c_str());
+    const uint64_t dropped = engine.tracer().Snapshot().total_dropped();
+    if (dropped != 0) {
+      std::fprintf(stderr, "FAIL: %s trace dropped %llu events\n", mode.label,
+                   static_cast<unsigned long long>(dropped));
+      ++failures;
+    }
+    if (chart == "(empty trace)\n") {
+      std::fprintf(stderr, "FAIL: %s trace is empty\n", mode.label);
+      ++failures;
+    }
   }
   std::printf("expected shape: adaptive compiles ('#') only the two partsupp "
               "pipelines and beats both static modes\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

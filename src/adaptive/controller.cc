@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 #include "common/status.h"
 #include "common/timer.h"
@@ -50,7 +51,6 @@ struct PipelineExecState {
 
   FunctionHandle* handle = nullptr;
   void* state = nullptr;
-  TraceRecorder* trace = nullptr;
   int pipeline_id = 0;
   uint64_t function_instructions = 0;
   PipelineObs obs;
@@ -71,6 +71,10 @@ namespace {
 /// paper's dedicated path — so a saturated scheduler cannot delay a mode
 /// switch indefinitely.
 constexpr int kInlineCompileAfterMorsels = 2;
+
+/// Longest a draining controller waits in place for helpers mid-morsel
+/// while no other task is queued, before it yields its slice.
+constexpr int64_t kDrainWaitNanos = 200000;
 
 void RecordRate(PipelineExecState& st, int slot, uint64_t tuples,
                 uint64_t nanos) {
@@ -116,10 +120,6 @@ void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
     beacon->word0.store(prior_word0, std::memory_order_relaxed);
   }
   RecordRate(st, slot, batch.rows, static_cast<uint64_t>(t1 - t0));
-  if (st.trace != nullptr) {
-    st.trace->Record({TraceRecorder::EventKind::kMorsel, thread,
-                      st.pipeline_id, mode, t0, t1, batch.rows});
-  }
   if (st.obs.enabled()) {
     TraceEvent e;
     e.kind = TraceEventKind::kMorsel;
@@ -171,11 +171,6 @@ bool TryRunCompileJob(PipelineExecState& st,
   const int64_t t1 = MonotonicNanos();
   if (beacon != nullptr) {
     beacon->word0.store(prior_word0, std::memory_order_relaxed);
-  }
-  if (st.trace != nullptr) {
-    st.trace->Record({TraceRecorder::EventKind::kCompile,
-                      runtime_internal::GetThreadIndex(), st.pipeline_id,
-                      target, t0, t1, 0});
   }
   if (st.obs.enabled()) {
     TraceEvent e;
@@ -240,52 +235,6 @@ class MorselHelperTask : public Task {
   const int slot_;
 };
 
-/// A controller thread that is not a scheduler worker still executes
-/// morsels, and the runtime's per-thread partitions (aggregation tables,
-/// output buffers) are indexed by the thread-local runtime index — which
-/// defaults to 0 and would alias worker 0's partitions. External
-/// controller threads therefore lease a unique index from the top of the
-/// runtime's 64-slot range (workers occupy [0, kMaxSchedulerWorkers) from
-/// the bottom; TaskScheduler enforces the split), once per thread, and
-/// return it to the pool when the thread exits — so thread churn cannot
-/// exhaust the range, only >16 *live* external controllers can.
-constexpr int kFirstExternalIndex = 48;
-
-std::mutex& ExternalIndexMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-std::vector<int>& ExternalIndexFreeList() {
-  static std::vector<int> free_list = [] {
-    std::vector<int> all;
-    for (int i = 63; i >= kFirstExternalIndex; --i) all.push_back(i);
-    return all;
-  }();
-  return free_list;
-}
-
-int EnsureExternalRuntimeIndex() {
-  struct Lease {
-    int index = -1;
-    ~Lease() {
-      if (index < 0) return;
-      std::lock_guard<std::mutex> lock(ExternalIndexMutex());
-      ExternalIndexFreeList().push_back(index);
-    }
-  };
-  thread_local Lease lease;
-  if (lease.index < 0) {
-    std::lock_guard<std::mutex> lock(ExternalIndexMutex());
-    std::vector<int>& free_list = ExternalIndexFreeList();
-    AQE_CHECK_MSG(!free_list.empty(),
-                  "more than 16 live external controller threads");
-    lease.index = free_list.back();
-    free_list.pop_back();
-    runtime_internal::SetThreadIndex(lease.index);
-  }
-  return lease.index;
-}
-
 /// Low-priority carrier for an adaptive compile decision.
 class CompileJobTask : public Task {
  public:
@@ -313,46 +262,14 @@ const char* ExecutionStrategyName(ExecutionStrategy strategy) {
   AQE_UNREACHABLE("bad ExecutionStrategy");
 }
 
-PipelineRunner::PipelineRunner(WorkerPool* pool, ExecutionStrategy strategy,
-                               CostModelParams params, TraceRecorder* trace)
-    : pool_(pool), strategy_(strategy), params_(params), trace_(trace) {
-  AQE_CHECK(pool_ != nullptr);
-}
-
-PipelineRunner::PipelineRunner(TaskScheduler* scheduler,
-                               ExecutionStrategy strategy,
-                               CostModelParams params, TraceRecorder* trace)
-    : sched_(scheduler), strategy_(strategy), params_(params), trace_(trace) {
-  AQE_CHECK(sched_ != nullptr);
-}
-
-PipelineRunStats PipelineRunner::Run(const PipelineTask& task) {
-  AQE_CHECK(task.handle != nullptr);
-  return sched_ != nullptr ? RunTasks(task) : RunGang(task);
-}
-
-PipelineRunStats PipelineRunner::RunTasks(const PipelineTask& task) {
-  // Blocking wrapper over the resumable state machine: step to completion
-  // on the calling thread, parking briefly while the drain phase waits out
-  // in-flight helper/compile slices.
-  PipelineRun run(sched_, strategy_, params_, trace_, task, single_threaded_,
-                  first_eval_delay_seconds_);
-  while (run.Step() == Task::Status::kYield) {
-    if (run.draining()) run.WaitDrainBriefly();
-  }
-  return run.TakeStats();
-}
-
 // --- PipelineRun: the resumable controller --------------------------------
 
 PipelineRun::PipelineRun(TaskScheduler* scheduler, ExecutionStrategy strategy,
-                         CostModelParams params, TraceRecorder* trace,
-                         const PipelineTask& task, bool single_threaded,
-                         double first_eval_delay_seconds)
+                         CostModelParams params, const PipelineTask& task,
+                         bool single_threaded, double first_eval_delay_seconds)
     : sched_(scheduler),
       strategy_(strategy),
       params_(params),
-      trace_(trace),
       task_(task),
       single_threaded_(single_threaded),
       first_eval_delay_seconds_(first_eval_delay_seconds),
@@ -381,25 +298,16 @@ PipelineRun::~PipelineRun() {
   }
 }
 
-int PipelineRun::CurrentRuntimeThread() const {
-  // External controllers get a runtime thread index that cannot collide
-  // with any worker's per-thread runtime partitions.
-  return TaskScheduler::CurrentScheduler() == sched_
-             ? TaskScheduler::CurrentWorker()
-             : EnsureExternalRuntimeIndex();
-}
-
 void PipelineRun::Start() {
   start_nanos_ = MonotonicNanos();
   // The controller's identity — fixed now, at the first step (invariant 2):
-  // a scheduler worker when stepped from a query task, or an external
-  // thread (tests, benches) that gets the extra slot/shard.
-  const int self = TaskScheduler::CurrentScheduler() == sched_
-                       ? TaskScheduler::CurrentWorker()
-                       : -1;
+  // the worker of our own scheduler that runs the embedding task.
+  AQE_CHECK_MSG(TaskScheduler::CurrentScheduler() == sched_,
+                "a PipelineRun is stepped only by its scheduler's workers");
+  const int self = TaskScheduler::CurrentWorker();
   const int workers = sched_->num_workers();
-  participants_ = single_threaded_ ? 1 : (self >= 0 ? workers : workers + 1);
-  controller_slot_ = single_threaded_ ? 0 : (self >= 0 ? self : workers);
+  participants_ = single_threaded_ ? 1 : workers;
+  controller_slot_ = single_threaded_ ? 0 : self;
 
   st_ = task_.domain != nullptr
             ? std::make_shared<PipelineExecState>(task_.domain, participants_)
@@ -407,7 +315,6 @@ void PipelineRun::Start() {
                                                   participants_);
   st_->handle = task_.handle;
   st_->state = task_.state;
-  st_->trace = trace_;
   st_->pipeline_id = task_.pipeline_id;
   st_->function_instructions = task_.function_instructions;
   st_->obs = task_.obs;
@@ -421,7 +328,7 @@ void PipelineRun::Start() {
     e.payload = task_.total_tuples;
     e.query_id = st_->obs.query_id;
     e.pipeline_id = static_cast<uint16_t>(task_.pipeline_id);
-    st_->obs.tracer->Record(CurrentRuntimeThread(), e);
+    st_->obs.tracer->Record(self, e);
   }
 
   // Static compile-up-front strategies (single-threaded compilation before
@@ -473,7 +380,7 @@ Task::Status PipelineRun::RunSingleThreaded() {
   // Invariant 4: strictly one thread touches the pipeline, in one slice —
   // no helpers, no yields, compiles inline.
   Start();
-  const int thread = CurrentRuntimeThread();
+  const int thread = TaskScheduler::CurrentWorker();
   MorselBatch morsel;
   while (st_->shards.Next(controller_slot_, &morsel)) {
     ExecuteMorsel(*st_, morsel, controller_slot_, thread);
@@ -497,7 +404,8 @@ Task::Status PipelineRun::StepMorsel() {
   }
   // The checkpoint: exactly one controller morsel (plus the §III-C
   // re-evaluation) per slice, then hand the worker back to the scheduler.
-  ExecuteMorsel(*st_, morsel, controller_slot_, CurrentRuntimeThread());
+  ExecuteMorsel(*st_, morsel, controller_slot_,
+                TaskScheduler::CurrentWorker());
   if (adaptive_) Evaluate();
   return Task::Status::kYield;
 }
@@ -505,19 +413,31 @@ Task::Status PipelineRun::StepMorsel() {
 Task::Status PipelineRun::StepDrain() {
   if (st_->active_helpers.load(std::memory_order_seq_cst) != 0 ||
       st_->compile_state.load(std::memory_order_seq_cst) != kCompIdle) {
-    // Helpers mid-morsel notify within microseconds — plain re-check. A
-    // *running* JIT compile is ms-scale though: park briefly on the state
-    // condvar instead of spinning through the scheduler for its whole
-    // duration (the wait is bounded, so other tasks queued on this worker
-    // stall at most 200 µs — and thieves can take them meanwhile).
     if (st_->compile_state.load(std::memory_order_seq_cst) == kCompRunning) {
+      // A *running* JIT compile is ms-scale: park briefly on the state
+      // condvar instead of spinning through the scheduler for its whole
+      // duration (the wait is bounded, so other tasks queued on this
+      // worker stall at most 200 µs — and thieves can take them).
       std::unique_lock<std::mutex> lock(st_->mu);
       if (st_->compile_state.load(std::memory_order_seq_cst) ==
           kCompRunning) {
         st_->cv.wait_for(lock, std::chrono::microseconds(200));
       }
+      return Task::Status::kYield;  // check again next slice
     }
-    return Task::Status::kYield;  // check again next slice
+    // Helpers mid-morsel. While no other task is queued, wait them out in
+    // place: each yield to an empty scheduler costs a deque round trip, a
+    // wake-up of a parked worker and a trace event, and a long bytecode
+    // morsel would be waited out by thousands of them. Bounded, and left
+    // the moment other work is queued, so queued tasks run in between.
+    const int64_t deadline = MonotonicNanos() + kDrainWaitNanos;
+    while (st_->active_helpers.load(std::memory_order_seq_cst) != 0 &&
+           !sched_->has_queued_work() && MonotonicNanos() < deadline) {
+      std::this_thread::yield();
+    }
+    if (st_->active_helpers.load(std::memory_order_seq_cst) != 0) {
+      return Task::Status::kYield;  // check again next slice
+    }
   }
   {
     std::lock_guard<std::mutex> lock(st_->mu);
@@ -532,16 +452,6 @@ Task::Status PipelineRun::StepDrain() {
   }
   phase_ = Phase::kDone;
   return Task::Status::kDone;
-}
-
-void PipelineRun::WaitDrainBriefly() {
-  std::unique_lock<std::mutex> lock(st_->mu);
-  if (st_->active_helpers.load(std::memory_order_seq_cst) != 0 ||
-      st_->compile_state.load(std::memory_order_seq_cst) != kCompIdle) {
-    // Timed wait: completion is signalled, but a 1 ms re-check also makes
-    // the drain robust against any missed notify.
-    st_->cv.wait_for(lock, std::chrono::milliseconds(1));
-  }
 }
 
 /// §III-C: the extrapolation is performed by a single thread — the
@@ -615,7 +525,7 @@ void PipelineRun::Evaluate() {
     e.query_id = st_->obs.query_id;
     e.pipeline_id = static_cast<uint16_t>(task_.pipeline_id);
     e.detail = static_cast<uint8_t>(st_->compile_target);
-    st_->obs.tracer->Record(CurrentRuntimeThread(), e);
+    st_->obs.tracer->Record(TaskScheduler::CurrentWorker(), e);
   }
   if (st_->obs.mode_switch_decisions != nullptr) {
     st_->obs.mode_switch_decisions->Add();
@@ -630,126 +540,6 @@ void PipelineRun::Evaluate() {
     job->set_scheduling_class(task_.scheduling_class);
     sched_->Submit(std::move(job), TaskPriority::kLow);
   }
-}
-
-PipelineRunStats PipelineRunner::RunGang(const PipelineTask& task) {
-  PipelineRunStats stats;
-  Timer total_timer;
-
-  auto compile_and_install = [&](ExecMode mode) {
-    AQE_CHECK_MSG(task.compile != nullptr, "pipeline has no compile hook");
-    Timer compile_timer;
-    int64_t t0 = MonotonicNanos();
-    WorkerFn fn = task.compile(mode);
-    double seconds = compile_timer.ElapsedSeconds();
-    task.handle->SetCompiled(fn, mode);
-    stats.compiles.emplace_back(mode, seconds);
-    stats.blocking_compile_seconds += seconds;
-    if (trace_ != nullptr) {
-      trace_->Record({TraceRecorder::EventKind::kCompile,
-                      runtime_internal::GetThreadIndex(), task.pipeline_id,
-                      mode, t0, MonotonicNanos(), 0});
-    }
-  };
-
-  // Static compile-up-front strategies (single-threaded compilation, all
-  // other workers idle — exactly the §III critique). Skipped when the
-  // handle was seeded with cached code already in the requested mode.
-  if (strategy_ == ExecutionStrategy::kUnoptimized) {
-    if (task.handle->mode() != ExecMode::kUnoptimized) {
-      compile_and_install(ExecMode::kUnoptimized);
-    }
-  } else if (strategy_ == ExecutionStrategy::kOptimized) {
-    if (task.handle->mode() != ExecMode::kOptimized) {
-      compile_and_install(ExecMode::kOptimized);
-    }
-  }
-
-  auto queue_storage =
-      task.domain != nullptr
-          ? std::make_unique<MorselQueue>(task.domain, 0,
-                                          task.domain->selected())
-          : std::make_unique<MorselQueue>(task.total_tuples);
-  MorselQueue& queue = *queue_storage;
-  std::vector<std::unique_ptr<PipelineExecState::SlotRate>> rates;
-  for (int i = 0; i < pool_->num_threads(); ++i) {
-    rates.push_back(std::make_unique<PipelineExecState::SlotRate>());
-  }
-  std::atomic<uint64_t> epoch{0};
-  const int64_t pipeline_start = MonotonicNanos();
-  const bool adaptive = strategy_ == ExecutionStrategy::kAdaptive;
-
-  auto evaluate = [&]() {
-    ExecMode mode = task.handle->mode();
-    if (mode == ExecMode::kOptimized) return;
-    if (static_cast<double>(MonotonicNanos() - pipeline_start) <
-        first_eval_delay_seconds_ * 1e9) {
-      return;
-    }
-    // Average per-thread rate in the current epoch (Fig 7's r0).
-    uint64_t current_epoch = epoch.load(std::memory_order_relaxed);
-    double rate_sum = 0;
-    int rate_count = 0;
-    for (const auto& rate : rates) {
-      if (rate->epoch.load(std::memory_order_relaxed) != current_epoch) {
-        continue;
-      }
-      uint64_t nanos = rate->nanos.load(std::memory_order_relaxed);
-      uint64_t tuples = rate->tuples.load(std::memory_order_relaxed);
-      if (nanos == 0 || tuples == 0) continue;
-      rate_sum += static_cast<double>(tuples) /
-                  (static_cast<double>(nanos) / 1e9);
-      ++rate_count;
-    }
-    if (rate_count == 0) return;
-    double r0 = rate_sum / rate_count;
-    Decision decision = ExtrapolatePipelineDurations(
-        r0, queue.remaining(), pool_->num_threads(),
-        task.function_instructions, mode, params_,
-        task.runtime_call_fraction);
-    if (decision == Decision::kDoNothing) return;
-    compile_and_install(decision == Decision::kCompileUnoptimized
-                            ? ExecMode::kUnoptimized
-                            : ExecMode::kOptimized);
-    // Reset all processing rates (§III-C): bump the epoch, workers lazily
-    // clear their slots.
-    epoch.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  pool_->RunParallel([&](int thread) {
-    PipelineExecState::SlotRate& rate = *rates[static_cast<size_t>(thread)];
-    MorselBatch morsel;
-    while (queue.Next(&morsel)) {
-      ExecMode mode = task.handle->mode();
-      int64_t t0 = MonotonicNanos();
-      for (int i = 0; i < morsel.count; ++i) {
-        task.handle->Call(task.state, morsel.ranges[i].begin,
-                          morsel.ranges[i].end);
-      }
-      int64_t t1 = MonotonicNanos();
-
-      uint64_t current_epoch = epoch.load(std::memory_order_relaxed);
-      if (rate.epoch.load(std::memory_order_relaxed) != current_epoch) {
-        rate.tuples.store(0, std::memory_order_relaxed);
-        rate.nanos.store(0, std::memory_order_relaxed);
-        rate.epoch.store(current_epoch, std::memory_order_relaxed);
-      }
-      rate.tuples.fetch_add(morsel.rows, std::memory_order_relaxed);
-      rate.nanos.fetch_add(static_cast<uint64_t>(t1 - t0),
-                           std::memory_order_relaxed);
-      if (trace_ != nullptr) {
-        trace_->Record({TraceRecorder::EventKind::kMorsel, thread,
-                        task.pipeline_id, mode, t0, t1, morsel.rows});
-      }
-      // §III-C: the extrapolation is performed by a single worker thread,
-      // re-evaluated after every one of its morsels.
-      if (adaptive && thread == 0) evaluate();
-    }
-  });
-
-  stats.total_seconds = total_timer.ElapsedSeconds();
-  stats.final_mode = task.handle->mode();
-  return stats;
 }
 
 }  // namespace aqe

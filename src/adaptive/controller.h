@@ -11,8 +11,6 @@
 #include "adaptive/cost_model.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
-#include "exec/trace.h"
 #include "obs/observability.h"
 #include "sched/scheduler.h"
 #include "sched/task.h"
@@ -86,8 +84,7 @@ struct PipelineRunStats {
   /// picked up by other workers overlap execution and are not counted.
   double blocking_compile_seconds = 0;
   /// Every adaptive compile decision with its predicted durations and the
-  /// realized remainder (TaskScheduler substrate; the legacy gang path
-  /// leaves it empty).
+  /// realized remainder.
   std::vector<ModeSwitchRecord> mode_switches;
 };
 
@@ -113,20 +110,20 @@ struct PipelineExecState;
 ///    the rate-reset epoch, the recorded compiles and the calibrated
 ///    cost-model parameters live in PipelineExecState / PipelineRun
 ///    members, never on a worker's stack — a resumed controller continues
-///    the §III-C evaluation exactly where it left off, and the mode-switch
-///    trace is identical to the blocking controller's (differential-tested
-///    in tests/sched_test.cc and tests/fairness_test.cc).
+///    the §III-C evaluation exactly where it left off, so the mode-switch
+///    sequence does not depend on how often it was suspended (tested in
+///    tests/exec_adaptive_test.cc).
 ///
-/// 2. The controller's identity is fixed at the *first* Step. Its rate
-///    slot, preferred shard and participant count are chosen once (the
-///    first-step worker's index, or the extra slot for an external thread)
-///    and stored; migration to another worker after a yield changes only
-///    which thread executes — the migrated controller keeps draining its
-///    own shard and rate slot, which no helper task ever uses, so slots
-///    never collide. Per-thread runtime partitions (aggregation tables,
-///    output buffers) are always indexed by the *executing* thread, which
-///    is correct under migration because every merge step covers all
-///    partitions.
+/// 2. The controller's identity is fixed at the *first* Step. Only a worker
+///    of the run's own scheduler may step it (checked). Its rate slot,
+///    preferred shard and participant count are chosen once (the
+///    first-step worker's index) and stored; migration to another worker
+///    after a yield changes only which thread executes — the migrated
+///    controller keeps draining its own shard and rate slot, which no
+///    helper task ever uses, so slots never collide. Per-thread runtime
+///    partitions (aggregation tables, output buffers) are always indexed
+///    by the *executing* thread, which is correct under migration because
+///    every merge step covers all partitions.
 ///
 /// 3. Raw pipeline pointers outlive the run. `task.handle`, `task.state`
 ///    and the compile hook are dereferenced by helper/compile tasks only
@@ -148,29 +145,21 @@ class PipelineRun {
   /// `task`'s raw pointers (handle, state, compile captures) must stay
   /// valid until done() or destruction (invariant 3).
   PipelineRun(TaskScheduler* scheduler, ExecutionStrategy strategy,
-              CostModelParams params, TraceRecorder* trace,
-              const PipelineTask& task, bool single_threaded,
-              double first_eval_delay_seconds);
+              CostModelParams params, const PipelineTask& task,
+              bool single_threaded, double first_eval_delay_seconds);
   ~PipelineRun();
 
   PipelineRun(const PipelineRun&) = delete;
   PipelineRun& operator=(const PipelineRun&) = delete;
 
-  /// Runs one bounded slice on the calling thread. kYield: call again (on
-  /// any thread); kDone: the pipeline finished and stats() is valid.
+  /// Runs one bounded slice on the calling thread, which must be a worker
+  /// of `scheduler`. kYield: call again (on any of its workers); kDone: the
+  /// pipeline finished and TakeStats() is valid.
   Task::Status Step();
 
   bool done() const { return phase_ == Phase::kDone; }
-  /// True when all morsels are claimed and the run is only waiting out
-  /// in-flight helper/compile slices.
-  bool draining() const { return phase_ == Phase::kDrain; }
-
-  /// Blocking callers (PipelineRunner::Run) park here between drain-phase
-  /// steps instead of spinning; bounded by a 1 ms re-check.
-  void WaitDrainBriefly();
 
   /// The run's statistics; valid once done().
-  const PipelineRunStats& stats() const { return stats_; }
   PipelineRunStats TakeStats() { return std::move(stats_); }
 
  private:
@@ -181,14 +170,10 @@ class PipelineRun {
   Task::Status StepDrain();
   Task::Status RunSingleThreaded();  // whole pipeline, one slice (inv. 4)
   void Evaluate();
-  /// Runtime thread index of the calling thread (worker index, or a leased
-  /// external-controller index).
-  int CurrentRuntimeThread() const;
 
   TaskScheduler* sched_;
   ExecutionStrategy strategy_;
   CostModelParams params_;
-  TraceRecorder* trace_;
   PipelineTask task_;
   bool single_threaded_;
   double first_eval_delay_seconds_;
@@ -201,71 +186,6 @@ class PipelineRun {
   int morsels_since_queued_ = 0;
   int64_t start_nanos_ = 0;
   bool adaptive_ = false;
-};
-
-/// Executes pipelines under a strategy, applying the §III-C policy for
-/// kAdaptive: every participating thread tracks its local tuple rate per
-/// morsel; a single evaluator thread (the pipeline's controller), starting
-/// 1 ms into the pipeline and re-checking after every one of its morsels,
-/// runs the Fig 7 extrapolation; when compilation wins, the worker function
-/// is compiled and the FunctionHandle flipped, after which all threads pick
-/// up the new variant and the rates are reset.
-///
-/// Two substrates:
-///  - TaskScheduler (the engine's path): a PipelineRun stepped to
-///    completion on the calling thread, which is the controller (the
-///    engine embeds PipelineRun in its query tasks directly and yields
-///    between steps; this blocking wrapper serves benches/tests and
-///    external threads). It shards the morsel domain across the
-///    scheduler's workers, submits one morsel helper task per other worker
-///    (each yields after every morsel, so concurrent queries interleave),
-///    and drains morsels itself. Adaptive compilations are submitted as
-///    low-priority tasks that any worker may pick up; if none has within a
-///    few controller morsels, the controller compiles inline — occupying
-///    one thread, exactly the paper's dedicated-path behavior — so the
-///    mode-switch handshake (decide → compile → install → reset rates) is
-///    preserved under both substrates.
-///  - WorkerPool (legacy shim): the original gang-scheduled path, kept as
-///    the differential-testing baseline; worker 0 is the evaluator and
-///    compiles inline.
-class PipelineRunner {
- public:
-  /// Legacy gang-scheduled substrate.
-  PipelineRunner(WorkerPool* pool, ExecutionStrategy strategy,
-                 CostModelParams params = {}, TraceRecorder* trace = nullptr);
-
-  /// Task-scheduler substrate; the calling thread becomes the pipeline's
-  /// controller (it may itself be a scheduler worker running a query task,
-  /// or an external thread).
-  PipelineRunner(TaskScheduler* scheduler, ExecutionStrategy strategy,
-                 CostModelParams params = {}, TraceRecorder* trace = nullptr);
-
-  PipelineRunStats Run(const PipelineTask& task);
-
-  /// First adaptive evaluation happens this long after pipeline start
-  /// (paper: 1 ms, "to increase the accuracy of the estimates").
-  void set_first_evaluation_delay_seconds(double seconds) {
-    first_eval_delay_seconds_ = seconds;
-  }
-
-  /// Task-scheduler substrate only: run every morsel on the controller and
-  /// compile inline — strictly one thread touches the pipeline (baselines
-  /// and the paper's latency figures need this).
-  void set_single_threaded(bool single_threaded) {
-    single_threaded_ = single_threaded;
-  }
-
- private:
-  PipelineRunStats RunGang(const PipelineTask& task);
-  PipelineRunStats RunTasks(const PipelineTask& task);
-
-  WorkerPool* pool_ = nullptr;
-  TaskScheduler* sched_ = nullptr;
-  ExecutionStrategy strategy_;
-  CostModelParams params_;
-  TraceRecorder* trace_;
-  double first_eval_delay_seconds_ = 1e-3;
-  bool single_threaded_ = false;
 };
 
 }  // namespace aqe

@@ -267,8 +267,8 @@ struct QueryEngine::Impl {
   std::unique_ptr<StatsServer> stats_server;
 
   // Thread count clamped to the scheduler's worker range: callers pass
-  // hardware_concurrency() on big machines, and indices above
-  // TaskScheduler::kMaxWorkers are reserved for external controllers.
+  // hardware_concurrency() on big machines, and the runtime has
+  // TaskScheduler::kMaxWorkers per-thread partitions.
   Impl(const Catalog* catalog, int num_threads)
       : catalog(catalog),
         max_active(std::max(2, 2 * num_threads)),
@@ -1401,7 +1401,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   };
 
   ap->run = std::make_unique<PipelineRun>(
-      sched_, options.strategy, options.cost_model, options.trace, task,
+      sched_, options.strategy, options.cost_model, task,
       options.single_threaded, options.adaptive_first_eval_seconds);
   active_ = std::move(ap);
 }

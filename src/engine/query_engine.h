@@ -8,7 +8,6 @@
 
 #include "adaptive/controller.h"
 #include "cache/artifact_cache.h"
-#include "exec/trace.h"
 #include "index/access_path.h"
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
@@ -39,7 +38,6 @@ struct QueryRunOptions {
   /// Interpreter loop for bytecode execution (kDefault = compile-time
   /// AQE_VM_DISPATCH selection; both engines give bit-identical results).
   VmDispatch vm_dispatch = VmDispatch::kDefault;
-  TraceRecorder* trace = nullptr;
   /// Strictly one thread executes the query's pipelines (no morsel helper
   /// tasks, compilations inline). Baselines and kNaiveIr are single-
   /// threaded by construction; set this for kCompiled to reproduce the

@@ -11,15 +11,15 @@ namespace aqe {
 /// Renders a TraceSnapshot as Chrome-trace/Perfetto JSON (the "JSON Array
 /// with metadata" flavor: {"displayTimeUnit":...,"traceEvents":[...]}),
 /// loadable in chrome://tracing and ui.perfetto.dev. One track per lane
-/// (worker threads first, external-controller leases after), spans as
+/// (one lane per scheduler worker), spans as
 /// complete events, point events as instants, and one flow per query id
 /// linking admission wait -> task slices -> completion across tracks.
 std::string ChromeTraceJson(const TraceSnapshot& snapshot);
 
 /// Renders the ASCII swimlane chart (threads x time, Fig 14 style) from a
 /// TraceSnapshot: morsels print the pipeline digit (digit = interpreted,
-/// letter = compiled), compilations print '#'. Byte-compatible with the
-/// retired TraceRecorder::Render so goldens and eyeballs carry over.
+/// letter = compiled), compilations print '#'. This is the chart Fig 14
+/// prints (bench/fig14_trace via QueryEngine::RenderTrace).
 std::string RenderTextTrace(const TraceSnapshot& snapshot, int num_lanes,
                             int width = 100);
 

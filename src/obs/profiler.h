@@ -69,8 +69,8 @@ inline bool SampleBeacon(const WorkerBeacon& b, uint64_t* w0, uint64_t* w1) {
   return *w0 == first;
 }
 
-/// The engine's beacon array: one lane per scheduler worker plus the
-/// external-controller lease range, mirroring EngineTracer's lane map.
+/// The engine's beacon array: one lane per scheduler worker, mirroring
+/// EngineTracer's lane map.
 class BeaconBoard {
  public:
   static constexpr int kLanes = 64;

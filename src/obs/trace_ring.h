@@ -54,8 +54,7 @@ class TraceRing {
   std::vector<TraceEvent> Snapshot() const;
 
   /// Resets head to zero. The caller must guarantee the producer is
-  /// quiescent (this is the TraceRecorder::Start contract, unchanged from
-  /// the mutex-era recorder).
+  /// quiescent (EngineTracer::Reset between runs).
   void Clear() { head_.store(0, std::memory_order_release); }
 
  private:

@@ -51,13 +51,12 @@ struct TraceSnapshot {
   }
 };
 
-/// Always-on, per-thread trace recorder: per runtime thread index
-/// (scheduler workers [0, 48), leased external controllers [48, 64)) a
-/// *pair* of single-producer TraceRings, allocated lazily on a lane's
-/// first event so idle lanes cost one atomic pointer. Record() is the hot
-/// path — callers pass their own runtime thread index as the lane and must
-/// be that lane's only producer (worker indices and external-controller
-/// leases are unique per live thread, so engine call sites satisfy this by
+/// Always-on, per-thread trace recorder: per runtime thread index (one
+/// lane per scheduler worker) a *pair* of single-producer TraceRings,
+/// allocated lazily on a lane's first event so idle lanes cost one atomic
+/// pointer. Record() is the hot path — callers pass their own worker index
+/// as the lane and must be that lane's only producer (a worker index
+/// belongs to one live thread, so engine call sites satisfy this by
 /// construction).
 ///
 /// The pair splits the event vocabulary by loss tolerance:
@@ -98,7 +97,7 @@ class EngineTracer {
   }
 
   /// Clears every lane and restarts the timeline. Quiescent producers
-  /// only (same contract as the old TraceRecorder::Start).
+  /// only.
   void Reset();
 
   TraceSnapshot Snapshot() const;

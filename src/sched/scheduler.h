@@ -14,12 +14,12 @@
 
 namespace aqe {
 
-/// Task scheduler with per-worker work-stealing deques — the execution
-/// substrate that replaced the gang-scheduled WorkerPool. Queries, morsels
-/// and JIT compilations are all tasks on it, so N concurrent queries (and
-/// the adaptive controller's background compilations) share one set of
-/// cores. See DESIGN.md in this directory for invariants (task lifetime,
-/// steal protocol, priority and class rules).
+/// Task scheduler with per-worker work-stealing deques — the engine's one
+/// execution substrate. Queries, morsels and JIT compilations are all
+/// tasks on it, so N concurrent queries (and the adaptive controller's
+/// background compilations) share one set of cores. See DESIGN.md in this
+/// directory for invariants (task lifetime, steal protocol, priority and
+/// class rules).
 ///
 /// Normal-priority work is split into kNumTaskClasses weighted-fair lanes
 /// (one deque per class per worker). The scheduler keeps one global virtual
@@ -43,11 +43,10 @@ namespace aqe {
 /// query task breaks its promise, so Submit() futures never hang.
 class TaskScheduler {
  public:
-  /// Workers use runtime thread indices [0, num_workers); indices
-  /// [kMaxWorkers, 64) are reserved for external pipeline-controller
-  /// threads (see EnsureExternalRuntimeIndex in adaptive/controller.cc),
-  /// so the two can never alias a per-thread runtime partition.
-  static constexpr int kMaxWorkers = 48;
+  /// Workers use runtime thread indices [0, num_workers), one per-thread
+  /// runtime partition (aggregation tables, output buffers, trace lanes)
+  /// each; the runtime has 64 of them.
+  static constexpr int kMaxWorkers = 64;
 
   explicit TaskScheduler(int num_workers);
   ~TaskScheduler();
@@ -70,6 +69,13 @@ class TaskScheduler {
   static int CurrentWorker();
   /// The scheduler whose worker the calling thread is, or nullptr.
   static TaskScheduler* CurrentScheduler();
+
+  /// Whether any task is queued on any worker (tasks mid-slice excluded).
+  /// A racy hint: PipelineRun's drain waits in place instead of yielding
+  /// when false.
+  bool has_queued_work() const {
+    return pending_.load(std::memory_order_relaxed) > 0;
+  }
 
   /// Total task slices executed (yields count once per slice). Test hook.
   uint64_t executed_slices() const {

@@ -2,16 +2,22 @@
 
 #include <atomic>
 #include <chrono>
-#include <set>
+#include <future>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "adaptive/calibrate.h"
 #include "adaptive/controller.h"
 #include "adaptive/cost_model.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
-#include "exec/trace.h"
+#include "obs/export.h"
+#include "obs/tracer.h"
+#include "sched/scheduler.h"
+#include "sched/task.h"
 
 namespace aqe {
 namespace {
@@ -139,28 +145,6 @@ TEST(FunctionHandleTest, SwitchesVariantMidStream) {
   EXPECT_EQ(probe.interpreted.load(), 1);
 }
 
-// --- WorkerPool ---------------------------------------------------------------
-
-TEST(WorkerPoolTest, RunsOnAllThreads) {
-  WorkerPool pool(4);
-  std::set<int> indices;
-  std::mutex mutex;
-  pool.RunParallel([&](int thread) {
-    std::lock_guard<std::mutex> lock(mutex);
-    indices.insert(thread);
-  });
-  EXPECT_EQ(indices, (std::set<int>{0, 1, 2, 3}));
-}
-
-TEST(WorkerPoolTest, ReusableAcrossRuns) {
-  WorkerPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 10; ++round) {
-    pool.RunParallel([&](int) { count++; });
-  }
-  EXPECT_EQ(count.load(), 20);
-}
-
 // --- Cost model (Fig 7) --------------------------------------------------------
 
 TEST(CostModelTest, TinyPipelineStaysInterpreted) {
@@ -252,7 +236,12 @@ TEST(CostModelTest, LargerFunctionsRaiseTheBar) {
   EXPECT_EQ(big_fn, Decision::kDoNothing);
 }
 
-// --- PipelineRunner ------------------------------------------------------------
+// --- PipelineRun -----------------------------------------------------------
+//
+// Every test below steps a PipelineRun the way the engine's QueryJob does:
+// from a task on the run's own scheduler, yielding between slices. Cost-model
+// parameters force deterministic decisions, so each test asserts the exact
+// mode-switch sequence, the final mode and that every tuple ran exactly once.
 
 /// A synthetic "worker function" whose interpreted variant is slow and
 /// compiled variants are fast, with per-call counters.
@@ -260,6 +249,10 @@ struct SyntheticPipeline {
   std::atomic<uint64_t> interpreted_tuples{0};
   std::atomic<uint64_t> unopt_tuples{0};
   std::atomic<uint64_t> opt_tuples{0};
+
+  uint64_t total() const {
+    return interpreted_tuples.load() + unopt_tuples.load() + opt_tuples.load();
+  }
 
   static void SlowInterp(void* state, uint64_t begin, uint64_t end,
                          const void*) {
@@ -280,138 +273,331 @@ struct SyntheticPipeline {
     self->opt_tuples += end - begin;
     std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 18));
   }
+
+  static WorkerFn Compile(ExecMode mode) {
+    return mode == ExecMode::kUnoptimized ? &FastUnopt : &FastOpt;
+  }
 };
 
-TEST(PipelineRunnerTest, BytecodeStrategyNeverCompiles) {
-  WorkerPool pool(2);
+PipelineTask SyntheticTask(SyntheticPipeline* pipe, FunctionHandle* handle,
+                           uint64_t tuples) {
+  PipelineTask task;
+  task.handle = handle;
+  task.state = pipe;
+  task.total_tuples = tuples;
+  task.function_instructions = 1000;
+  task.compile = &SyntheticPipeline::Compile;
+  return task;
+}
+
+struct RunOutcome {
+  PipelineRunStats stats;
+  uint64_t yields = 0;  ///< Step() calls that returned kYield
+
+  std::vector<ExecMode> switches() const {
+    std::vector<ExecMode> modes;
+    for (const auto& [mode, seconds] : stats.compiles) modes.push_back(mode);
+    return modes;
+  }
+};
+
+/// The test-local stand-in for QueryJob: a task that steps the run once per
+/// slice. From `pause_after_steps` on, the controller is suspended for
+/// `pause` (the task keeps yielding without stepping, so it may also
+/// migrate to another worker) before it resumes.
+class StepTask : public Task {
+ public:
+  StepTask(PipelineRun* run, RunOutcome* out, std::promise<void>* done,
+           int pause_after_steps, std::chrono::milliseconds pause)
+      : run_(run),
+        out_(out),
+        done_(done),
+        pause_after_steps_(pause_after_steps),
+        pause_(pause) {}
+
+  Status Run(int) override {
+    if (steps_ == pause_after_steps_) {
+      const auto now = std::chrono::steady_clock::now();
+      if (resume_at_ == std::chrono::steady_clock::time_point{}) {
+        resume_at_ = now + pause_;
+      }
+      if (now < resume_at_) return Status::kYield;
+    }
+    ++steps_;
+    if (run_->Step() == Status::kYield) {
+      ++out_->yields;
+      return Status::kYield;
+    }
+    out_->stats = run_->TakeStats();
+    done_->set_value();
+    return Status::kDone;
+  }
+
+ private:
+  PipelineRun* run_;
+  RunOutcome* out_;
+  std::promise<void>* done_;
+  const int pause_after_steps_;
+  const std::chrono::milliseconds pause_;
+  int steps_ = 0;
+  std::chrono::steady_clock::time_point resume_at_{};
+};
+
+struct RunConfig {
+  ExecutionStrategy strategy = ExecutionStrategy::kAdaptive;
+  CostModelParams params;
+  bool single_threaded = false;
+  double first_eval_delay_seconds = 0;
+  int pause_after_steps = -1;
+  std::chrono::milliseconds pause{0};
+};
+
+RunOutcome StepToCompletion(TaskScheduler* sched, const PipelineTask& task,
+                            const RunConfig& config) {
+  PipelineRun run(sched, config.strategy, config.params, task,
+                  config.single_threaded, config.first_eval_delay_seconds);
+  RunOutcome out;
+  std::promise<void> done;
+  sched->Submit(std::make_unique<StepTask>(&run, &out, &done,
+                                           config.pause_after_steps,
+                                           config.pause));
+  done.get_future().wait();
+  return out;
+}
+
+/// Cost-model parameters that force exactly one switch to unoptimized.
+CostModelParams ForcedUnoptParams() {
+  CostModelParams params;
+  params.unopt_base_seconds = 0;
+  params.unopt_per_instruction_seconds = 0;
+  params.opt_base_seconds = 1e9;  // optimized can never win
+  return params;
+}
+
+/// The (pipeline, mode) sequence of a tracer's compile events.
+std::vector<std::pair<int, ExecMode>> CompileEvents(const TraceSnapshot& snap) {
+  std::vector<std::pair<int, ExecMode>> switches;
+  for (const auto& lane : snap.lanes) {
+    for (const TraceEvent& e : lane.events) {
+      if (e.kind == TraceEventKind::kCompile) {
+        switches.emplace_back(e.pipeline_id, static_cast<ExecMode>(e.detail));
+      }
+    }
+  }
+  return switches;
+}
+
+constexpr uint64_t kLongTuples = 2000000;
+
+TEST(PipelineRunTest, BytecodeStrategyNeverCompiles) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kBytecode);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 100000;
-  task.function_instructions = 1000;
+  PipelineTask task = SyntheticTask(&pipe, &handle, kLongTuples);
   task.compile = [](ExecMode) -> WorkerFn {
     ADD_FAILURE() << "bytecode strategy must not compile";
     return nullptr;
   };
-  PipelineRunStats stats = runner.Run(task);
-  EXPECT_EQ(pipe.interpreted_tuples.load(), 100000u);
-  EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
-  EXPECT_TRUE(stats.compiles.empty());
+  RunConfig config;
+  config.strategy = ExecutionStrategy::kBytecode;
+  RunOutcome out = StepToCompletion(&sched, task, config);
+  EXPECT_EQ(out.switches(), std::vector<ExecMode>{});
+  EXPECT_EQ(out.stats.final_mode, ExecMode::kBytecode);
+  EXPECT_EQ(pipe.interpreted_tuples.load(), kLongTuples);
 }
 
-TEST(PipelineRunnerTest, StaticOptimizedCompilesUpFront) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, StaticOptimizedCompilesUpFront) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kOptimized);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 50000;
-  task.function_instructions = 1000;
+  PipelineTask task = SyntheticTask(&pipe, &handle, 200000);
   int compile_calls = 0;
   task.compile = [&compile_calls](ExecMode mode) -> WorkerFn {
     ++compile_calls;
     EXPECT_EQ(mode, ExecMode::kOptimized);
     return &SyntheticPipeline::FastOpt;
   };
-  PipelineRunStats stats = runner.Run(task);
+  RunConfig config;
+  config.strategy = ExecutionStrategy::kOptimized;
+  RunOutcome out = StepToCompletion(&sched, task, config);
   EXPECT_EQ(compile_calls, 1);
+  EXPECT_EQ(out.switches(), std::vector<ExecMode>{ExecMode::kOptimized});
+  EXPECT_EQ(out.stats.final_mode, ExecMode::kOptimized);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 0u);
-  EXPECT_EQ(pipe.opt_tuples.load(), 50000u);
-  EXPECT_EQ(stats.final_mode, ExecMode::kOptimized);
+  EXPECT_EQ(pipe.opt_tuples.load(), 200000u);
+  // The up-front compile occupied the controller before any morsel ran.
+  EXPECT_GT(out.stats.blocking_compile_seconds, 0.0);
 }
 
-TEST(PipelineRunnerTest, AdaptiveSwitchesOnLongPipeline) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, ForcedUnoptimizedSwitch) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  CostModelParams params;
-  params.unopt_base_seconds = 1e-3;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 4e-3;
-  params.opt_per_instruction_seconds = 0;
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 3000000;  // ~300ms of interpretation at 2 threads
-  task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
-  };
-  PipelineRunStats stats = runner.Run(task);
-  // All tuples processed exactly once across the modes.
-  EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load() +
-                pipe.opt_tuples.load(),
-            3000000u);
-  // It must have decided to compile, starting from bytecode.
+  RunConfig config;
+  config.params = ForcedUnoptParams();
+  RunOutcome out = StepToCompletion(
+      &sched, SyntheticTask(&pipe, &handle, kLongTuples), config);
+  EXPECT_EQ(out.switches(), std::vector<ExecMode>{ExecMode::kUnoptimized});
+  EXPECT_EQ(out.stats.final_mode, ExecMode::kUnoptimized);
+  EXPECT_GT(pipe.interpreted_tuples.load(), 0u);  // started in bytecode
+  EXPECT_EQ(pipe.opt_tuples.load(), 0u);
+  EXPECT_EQ(pipe.total(), kLongTuples);
+  ASSERT_EQ(out.stats.mode_switches.size(), 1u);
+  EXPECT_EQ(out.stats.mode_switches[0].target, ExecMode::kUnoptimized);
+}
+
+TEST(PipelineRunTest, ForcedStraightToOptimized) {
+  TaskScheduler sched(2);
+  SyntheticPipeline pipe;
+  int marker = 0;
+  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
+  RunConfig config;
+  config.params.unopt_base_seconds = 1e9;  // unoptimized can never win
+  config.params.opt_base_seconds = 0;
+  config.params.opt_per_instruction_seconds = 0;
+  RunOutcome out = StepToCompletion(
+      &sched, SyntheticTask(&pipe, &handle, kLongTuples), config);
+  EXPECT_EQ(out.switches(), std::vector<ExecMode>{ExecMode::kOptimized});
+  EXPECT_EQ(out.stats.final_mode, ExecMode::kOptimized);
+  EXPECT_EQ(pipe.unopt_tuples.load(), 0u);
+  EXPECT_EQ(pipe.total(), kLongTuples);
+}
+
+TEST(PipelineRunTest, AdaptiveSwitchesOnLongPipeline) {
+  // Realistic (non-forced) compile costs: the run must still decide to
+  // leave bytecode on a ~300 ms pipeline.
+  TaskScheduler sched(2);
+  SyntheticPipeline pipe;
+  int marker = 0;
+  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
+  RunConfig config;
+  config.params.unopt_base_seconds = 1e-3;
+  config.params.unopt_per_instruction_seconds = 0;
+  config.params.opt_base_seconds = 4e-3;
+  config.params.opt_per_instruction_seconds = 0;
+  config.first_eval_delay_seconds = 1e-3;
+  RunOutcome out = StepToCompletion(
+      &sched, SyntheticTask(&pipe, &handle, 3000000), config);
+  EXPECT_EQ(pipe.total(), 3000000u);
   EXPECT_GT(pipe.interpreted_tuples.load(), 0u);
-  EXPECT_FALSE(stats.compiles.empty());
-  EXPECT_NE(stats.final_mode, ExecMode::kBytecode);
+  EXPECT_FALSE(out.stats.compiles.empty());
+  EXPECT_NE(out.stats.final_mode, ExecMode::kBytecode);
 }
 
-TEST(PipelineRunnerTest, AdaptiveLeavesShortPipelineInterpreted) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, AdaptiveLeavesShortPipelineInterpreted) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 4000;  // finishes well under 1 ms of work
+  PipelineTask task = SyntheticTask(&pipe, &handle, 4000);  // << 1 ms
   task.function_instructions = 5000;
   task.compile = [](ExecMode) -> WorkerFn {
     ADD_FAILURE() << "short pipeline must not compile";
     return nullptr;
   };
-  PipelineRunStats stats = runner.Run(task);
-  EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
+  RunConfig config;
+  config.first_eval_delay_seconds = 1e-3;
+  RunOutcome out = StepToCompletion(&sched, task, config);
+  EXPECT_EQ(out.stats.final_mode, ExecMode::kBytecode);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 4000u);
 }
 
-TEST(PipelineRunnerTest, TraceRecordsMorselsAndCompiles) {
-  WorkerPool pool(2);
-  TraceRecorder trace;
-  trace.Start();
+TEST(PipelineRunTest, SingleThreadedSwitchesInline) {
+  TaskScheduler sched(2);
+  EngineTracer tracer(1 << 16);
   SyntheticPipeline pipe;
   int marker = 0;
   FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  CostModelParams params;
-  params.unopt_base_seconds = 1e-4;
-  params.unopt_per_instruction_seconds = 0;
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params, &trace);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 2000000;
-  task.function_instructions = 100;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
-  };
-  runner.Run(task);
-  auto events = trace.Events();
-  ASSERT_FALSE(events.empty());
-  bool has_morsel = false, has_compile = false;
-  for (const auto& e : events) {
-    has_morsel |= e.kind == TraceRecorder::EventKind::kMorsel;
-    has_compile |= e.kind == TraceRecorder::EventKind::kCompile;
-    EXPECT_GE(e.end_nanos, e.start_nanos);
+  PipelineTask task = SyntheticTask(&pipe, &handle, kLongTuples);
+  task.obs.tracer = &tracer;
+  RunConfig config;
+  config.params = ForcedUnoptParams();
+  config.single_threaded = true;
+  RunOutcome out = StepToCompletion(&sched, task, config);
+  EXPECT_EQ(out.switches(), std::vector<ExecMode>{ExecMode::kUnoptimized});
+  EXPECT_EQ(out.stats.final_mode, ExecMode::kUnoptimized);
+  EXPECT_EQ(pipe.opt_tuples.load(), 0u);
+  EXPECT_EQ(pipe.total(), kLongTuples);
+  // The whole pipeline ran inside one slice: no yields, and every morsel
+  // and the compile landed on the one worker that stepped it.
+  EXPECT_EQ(out.yields, 0u);
+  const TraceSnapshot snap = tracer.Snapshot();
+  int lanes_with_events = 0;
+  for (const auto& lane : snap.lanes) {
+    if (!lane.events.empty()) ++lanes_with_events;
   }
-  EXPECT_TRUE(has_morsel);
-  EXPECT_TRUE(has_compile);
-  std::string chart = trace.Render(2, 60);
+  EXPECT_EQ(lanes_with_events, 1);
+  const std::vector<std::pair<int, ExecMode>> expected = {
+      {0, ExecMode::kUnoptimized}};
+  EXPECT_EQ(CompileEvents(snap), expected);
+}
+
+TEST(PipelineRunTest, StepYieldsBetweenMorselsAndTracesTheSwitch) {
+  TaskScheduler sched(2);
+  EngineTracer tracer(1 << 16);
+  SyntheticPipeline pipe;
+  int marker = 0;
+  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
+  PipelineTask task = SyntheticTask(&pipe, &handle, kLongTuples);
+  task.pipeline_id = 3;
+  task.obs.tracer = &tracer;
+  RunConfig config;
+  config.params = ForcedUnoptParams();
+  RunOutcome out = StepToCompletion(&sched, task, config);
+  // The controller suspended at every morsel boundary (its shard is a
+  // sizeable fraction of the domain at the smallest morsel size).
+  EXPECT_GT(out.yields, 10u);
+  EXPECT_EQ(pipe.total(), kLongTuples);
+
+  // The engine tracer saw the morsels in both modes and exactly the one
+  // compile the stats report; the Fig 14 renderer draws it.
+  const TraceSnapshot snap = tracer.Snapshot();
+  EXPECT_EQ(snap.total_dropped(), 0u);
+  const std::vector<std::pair<int, ExecMode>> expected = {
+      {3, ExecMode::kUnoptimized}};
+  EXPECT_EQ(CompileEvents(snap), expected);
+  bool interpreted_morsel = false, compiled_morsel = false;
+  for (const auto& lane : snap.lanes) {
+    for (const TraceEvent& e : lane.events) {
+      EXPECT_GE(e.end_nanos, e.start_nanos);
+      if (e.kind != TraceEventKind::kMorsel) continue;
+      const auto mode = static_cast<ExecMode>(e.detail);
+      interpreted_morsel |= mode == ExecMode::kBytecode;
+      compiled_morsel |= mode == ExecMode::kUnoptimized;
+    }
+  }
+  EXPECT_TRUE(interpreted_morsel);
+  EXPECT_TRUE(compiled_morsel);
+  const std::string chart = RenderTextTrace(snap, sched.num_workers(), 60);
   EXPECT_NE(chart.find("thread 0"), std::string::npos);
   EXPECT_NE(chart.find('#'), std::string::npos);
+}
+
+TEST(PipelineRunTest, ModeSwitchStateSurvivesSuspension) {
+  // Force the compile decision, then stop stepping the controller for a
+  // while mid-run: the queued compile claim and the rate epoch must survive
+  // the suspension (and a possible migration to the other worker), and the
+  // switch must happen exactly once when stepping resumes.
+  TaskScheduler sched(2);
+  SyntheticPipeline pipe;
+  int marker = 0;
+  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
+  PipelineTask task = SyntheticTask(&pipe, &handle, 1500000);
+  task.compile = [](ExecMode mode) -> WorkerFn {
+    EXPECT_EQ(mode, ExecMode::kUnoptimized);
+    return &SyntheticPipeline::FastUnopt;
+  };
+  RunConfig config;
+  config.params = ForcedUnoptParams();
+  config.pause_after_steps = 8;
+  config.pause = std::chrono::milliseconds(20);
+  RunOutcome out = StepToCompletion(&sched, task, config);
+  EXPECT_EQ(out.switches(), std::vector<ExecMode>{ExecMode::kUnoptimized});
+  EXPECT_EQ(out.stats.final_mode, ExecMode::kUnoptimized);
+  EXPECT_EQ(pipe.total(), 1500000u);
 }
 
 // --- cost-model micro-calibration -----------------------------------------

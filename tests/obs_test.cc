@@ -439,7 +439,7 @@ TEST_F(ObsEngineTest, ChromeTraceExportIsWellFormedForAdaptiveRun) {
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
 
-  // The text renderer subsumes the old TraceRecorder::Render format.
+  // The Fig 14 swimlane chart (bench/fig14_trace) renders the same rings.
   const std::string text = engine.RenderTrace(/*width=*/80);
   EXPECT_NE(text.find("time ->"), std::string::npos);
   EXPECT_NE(text.find("thread 0 |"), std::string::npos);

@@ -7,11 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "adaptive/controller.h"
-#include "adaptive/cost_model.h"
-#include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
 #include "sched/scheduler.h"
 #include "sched/stealing_deque.h"
 #include "sched/task.h"
@@ -370,164 +366,6 @@ TEST(ShardedMorselQueueTest, SingleShardEqualsFlatQueue) {
     EXPECT_EQ(a.end, b.end);
   }
   EXPECT_FALSE(sharded.Next(0, &b));
-}
-
-// --- Differential: task-scheduler path vs legacy gang path ----------------
-//
-// The mode-switch handshake (decide -> compile -> install -> rate reset)
-// must behave identically on both substrates: same mode-switch sequence,
-// same final mode, every tuple processed exactly once. Cost-model
-// parameters force deterministic decisions.
-
-struct SyntheticPipeline {
-  std::atomic<uint64_t> interpreted_tuples{0};
-  std::atomic<uint64_t> unopt_tuples{0};
-  std::atomic<uint64_t> opt_tuples{0};
-
-  static void SlowInterp(void* state, uint64_t begin, uint64_t end,
-                         const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->interpreted_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 100));
-  }
-  static void FastUnopt(void* state, uint64_t begin, uint64_t end,
-                        const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->unopt_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 25));
-  }
-  static void FastOpt(void* state, uint64_t begin, uint64_t end,
-                      const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->opt_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 18));
-  }
-};
-
-struct DifferentialOutcome {
-  std::vector<ExecMode> switches;
-  ExecMode final_mode;
-  uint64_t interpreted, unopt, opt;
-};
-
-template <typename Substrate>
-DifferentialOutcome RunSynthetic(Substrate* substrate,
-                                 ExecutionStrategy strategy,
-                                 const CostModelParams& params,
-                                 uint64_t total_tuples) {
-  SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(substrate, strategy, params);
-  runner.set_first_evaluation_delay_seconds(0);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = total_tuples;
-  task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
-  };
-  PipelineRunStats stats = runner.Run(task);
-  DifferentialOutcome outcome;
-  for (const auto& [mode, seconds] : stats.compiles) {
-    outcome.switches.push_back(mode);
-  }
-  outcome.final_mode = stats.final_mode;
-  outcome.interpreted = pipe.interpreted_tuples.load();
-  outcome.unopt = pipe.unopt_tuples.load();
-  outcome.opt = pipe.opt_tuples.load();
-  return outcome;
-}
-
-class SchedulerDifferentialTest : public ::testing::Test {
- protected:
-  static constexpr uint64_t kTuples = 2000000;
-
-  void Compare(ExecutionStrategy strategy, const CostModelParams& params,
-               const std::vector<ExecMode>& expected_switches) {
-    WorkerPool pool(2);
-    TaskScheduler sched(2);
-    DifferentialOutcome legacy =
-        RunSynthetic(&pool, strategy, params, kTuples);
-    DifferentialOutcome tasks =
-        RunSynthetic(&sched, strategy, params, kTuples);
-
-    EXPECT_EQ(legacy.switches, expected_switches);
-    EXPECT_EQ(tasks.switches, expected_switches);
-    EXPECT_EQ(legacy.final_mode, tasks.final_mode);
-    EXPECT_EQ(legacy.interpreted + legacy.unopt + legacy.opt, kTuples);
-    EXPECT_EQ(tasks.interpreted + tasks.unopt + tasks.opt, kTuples);
-  }
-};
-
-TEST_F(SchedulerDifferentialTest, ForcedUnoptimizedSwitch) {
-  CostModelParams params;
-  params.unopt_base_seconds = 0;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 1e9;  // optimized can never win
-  Compare(ExecutionStrategy::kAdaptive, params, {ExecMode::kUnoptimized});
-}
-
-TEST_F(SchedulerDifferentialTest, ForcedStraightToOptimized) {
-  CostModelParams params;
-  params.unopt_base_seconds = 1e9;  // unoptimized can never win
-  params.opt_base_seconds = 0;
-  params.opt_per_instruction_seconds = 0;
-  Compare(ExecutionStrategy::kAdaptive, params, {ExecMode::kOptimized});
-}
-
-TEST_F(SchedulerDifferentialTest, BytecodeNeverSwitches) {
-  CostModelParams params;
-  Compare(ExecutionStrategy::kBytecode, params, {});
-}
-
-TEST_F(SchedulerDifferentialTest, StaticOptimizedCompilesUpFront) {
-  CostModelParams params;
-  WorkerPool pool(2);
-  TaskScheduler sched(2);
-  DifferentialOutcome legacy = RunSynthetic(
-      &pool, ExecutionStrategy::kOptimized, params, uint64_t{200000});
-  DifferentialOutcome tasks = RunSynthetic(
-      &sched, ExecutionStrategy::kOptimized, params, uint64_t{200000});
-  EXPECT_EQ(legacy.switches, (std::vector<ExecMode>{ExecMode::kOptimized}));
-  EXPECT_EQ(tasks.switches, (std::vector<ExecMode>{ExecMode::kOptimized}));
-  EXPECT_EQ(legacy.interpreted, 0u);
-  EXPECT_EQ(tasks.interpreted, 0u);
-  EXPECT_EQ(tasks.opt, 200000u);
-}
-
-TEST_F(SchedulerDifferentialTest, SingleThreadedTaskPathSwitchesInline) {
-  CostModelParams params;
-  params.unopt_base_seconds = 0;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 1e9;
-  TaskScheduler sched(2);
-  SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&sched, ExecutionStrategy::kAdaptive, params);
-  runner.set_first_evaluation_delay_seconds(0);
-  runner.set_single_threaded(true);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = kTuples;
-  task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    EXPECT_EQ(mode, ExecMode::kUnoptimized);
-    return &SyntheticPipeline::FastUnopt;
-  };
-  PipelineRunStats stats = runner.Run(task);
-  EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
-  EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load(),
-            kTuples);
-  // Strictly single-threaded: the helpers never saw this pipeline, so
-  // everything ran on the calling thread (no way to assert thread identity
-  // directly here, but opt tuples must be zero and a switch must exist).
-  EXPECT_EQ(pipe.opt_tuples.load(), 0u);
-  ASSERT_EQ(stats.compiles.size(), 1u);
 }
 
 }  // namespace

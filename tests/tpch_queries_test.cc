@@ -20,13 +20,25 @@ class TpchQueryTest : public ::testing::TestWithParam<int> {
   static void TearDownTestSuite() {
     delete engine_;
     delete catalog_;
+    // Proves the mid-stream switch path ran (skipped for filtered runs).
+    if (forced_switch_queries ==
+        static_cast<int>(ImplementedTpchQueries().size())) {
+      EXPECT_GT(forced_switch_compiles, 0)
+          << "the forced-switch configurations never compiled a pipeline";
+    }
   }
   static Catalog* catalog_;
   static QueryEngine* engine_;
+  /// Pipelines the forced-switch configurations compiled mid-stream, summed
+  /// over the queries that ran (checked in TearDownTestSuite).
+  static int forced_switch_compiles;
+  static int forced_switch_queries;
 };
 
 Catalog* TpchQueryTest::catalog_ = nullptr;
 QueryEngine* TpchQueryTest::engine_ = nullptr;
+int TpchQueryTest::forced_switch_compiles = 0;
+int TpchQueryTest::forced_switch_queries = 0;
 
 /// Every engine and execution mode must produce identical rows for every
 /// query — this is the end-to-end guarantee behind "no work is lost when
@@ -44,6 +56,10 @@ TEST_P(TpchQueryTest, AllEnginesAgree) {
     ExecutionStrategy strategy;
     VmDispatch vm_dispatch;
     const char* label;
+    bool single_threaded = false;
+    /// Cost model that makes every §III-C evaluation switch to unoptimized
+    /// at the first morsel boundary, with cold (uncached) artifacts.
+    bool forced_switch = false;
   };
   // Both interpreter dispatch engines must be bit-identical on every query,
   // not just the compile-time default.
@@ -58,6 +74,13 @@ TEST_P(TpchQueryTest, AllEnginesAgree) {
        VmDispatch::kDefault, "jit-unopt"},
       {EngineKind::kCompiled, ExecutionStrategy::kAdaptive,
        VmDispatch::kDefault, "adaptive"},
+      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive,
+       VmDispatch::kDefault, "adaptive-single-threaded", true},
+      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive,
+       VmDispatch::kDefault, "adaptive-forced-switch", false, true},
+      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive,
+       VmDispatch::kDefault, "adaptive-forced-switch-single-threaded", true,
+       true},
   };
   for (const Config& config : configs) {
     QueryProgram program = BuildTpchQuery(number, *catalog_);
@@ -65,9 +88,23 @@ TEST_P(TpchQueryTest, AllEnginesAgree) {
     options.engine = config.engine;
     options.strategy = config.strategy;
     options.vm_dispatch = config.vm_dispatch;
-    auto rows = engine_->Run(program, options).rows;
-    EXPECT_EQ(rows, reference) << "q" << number << " " << config.label;
+    options.single_threaded = config.single_threaded;
+    if (config.forced_switch) {
+      options.cost_model.unopt_base_seconds = 0;
+      options.cost_model.unopt_per_instruction_seconds = 0;
+      options.cost_model.opt_base_seconds = 1e9;
+      options.adaptive_first_eval_seconds = 0;
+      options.use_artifact_cache = false;
+    }
+    QueryRunResult result = engine_->Run(program, options);
+    EXPECT_EQ(result.rows, reference) << "q" << number << " " << config.label;
+    if (config.forced_switch) {
+      for (const PipelineReport& p : result.pipelines) {
+        if (!p.compiles.empty()) ++forced_switch_compiles;
+      }
+    }
   }
+  ++forced_switch_queries;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
